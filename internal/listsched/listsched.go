@@ -91,14 +91,10 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 			candidates = append(candidates, i)
 		}
 	}
+	order := &byPriority{prio: prio, ids: candidates}
 	sortCandidates := func() {
-		sort.Slice(candidates, func(a, b int) bool {
-			ia, ib := candidates[a], candidates[b]
-			if prio[ia] != prio[ib] {
-				return prio[ia] < prio[ib]
-			}
-			return ia < ib
-		})
+		order.ids = candidates
+		sort.Sort(order)
 	}
 	sortCandidates()
 
@@ -112,13 +108,16 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 		bound += m.OpLatency(in.Op) + maxComm + 1
 	}
 
+	// next and spare alternate as the candidate buffer, so the loop
+	// allocates only while the candidate set is still growing.
+	var spare, newlyPlaced []int
 	for cycle := 0; placedTotal < n; cycle++ {
 		if cycle > bound {
 			return nil, fmt.Errorf("listsched: no progress by cycle %d (%d of %d placed)", cycle, placedTotal, n)
 		}
 		progressed := false
-		var next []int
-		var newlyPlaced []int
+		next := spare[:0]
+		newlyPlaced = newlyPlaced[:0]
 		for _, i := range candidates {
 			cl := opt.Assignment[i]
 			// Probe first; only commit communication reservations
@@ -145,7 +144,7 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 			progressed = true
 			newlyPlaced = append(newlyPlaced, i)
 		}
-		candidates = next
+		spare, candidates = candidates, next
 		for _, i := range newlyPlaced {
 			for _, s := range g.Succs(i) {
 				pending[s]--
@@ -161,4 +160,23 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 	sched := t.Schedule()
 	sched.SortComms()
 	return sched, nil
+}
+
+// byPriority orders candidate instructions by (priority, ID), smallest
+// first. sort.Sort and sort.Slice run the same pattern-defeating quicksort,
+// so the order matches the closure-based sort it replaced comparison for
+// comparison, even when a priority is NaN and the order is not total.
+type byPriority struct {
+	prio []float64
+	ids  []int
+}
+
+func (o *byPriority) Len() int      { return len(o.ids) }
+func (o *byPriority) Swap(a, b int) { o.ids[a], o.ids[b] = o.ids[b], o.ids[a] }
+func (o *byPriority) Less(a, b int) bool {
+	ia, ib := o.ids[a], o.ids[b]
+	if o.prio[ia] != o.prio[ib] {
+		return o.prio[ia] < o.prio[ib]
+	}
+	return ia < ib
 }

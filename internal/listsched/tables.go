@@ -17,47 +17,102 @@ import (
 // Tables tracks resource reservations and value arrivals while a schedule is
 // being built. All schedulers in this repository build schedules through
 // Tables, so they compete under identical rules.
+//
+// Every reservation table is a grow-only row indexed by cycle, one row per
+// resource, so a probe costs an index instead of a hash. Reservations are
+// only ever added, never released: a cycle found blocked stays blocked,
+// which is what makes the per-route probe floor (see routeSlot) exact.
 type Tables struct {
 	g *ir.Graph
 	m *machine.Model
 
 	sched *schedule.Schedule
 
-	placed []bool
-	// arrival[v] maps cluster -> first cycle value v is usable there.
-	arrival []map[int]int
+	nc, nfu  int
+	placed   []bool
+	memStart []int // memPreds[memStart[i]:memStart[i+1]] are i's memory predecessors
+	memPreds []int
 
-	fuBusy map[fuSlot]bool
-	send   map[portSlot]int
-	recv   map[portSlot]int
-	links  map[linkSlot]bool
+	// arrival[v*nc+c] is the first cycle value v is usable on cluster c,
+	// or -1 when it is not there yet.
+	arrival []int
+	// floor[v*nc+c] is the departure the last route search for v to c
+	// found; no earlier departure can become free again.
+	floor []int
+
+	fuBusy []bitRow // cluster*nfu+fu
+	send   [][]int  // cluster -> sends per cycle
+	recv   [][]int  // cluster -> receives per cycle
+	links  []bitRow // link.From*nc+link.To
 	xfer   int
 }
 
-type fuSlot struct{ cluster, fu, cycle int }
-type portSlot struct{ cluster, cycle int }
-type linkSlot struct {
-	link  machine.Link
-	cycle int
+// bitRow is a grow-only occupancy bitset indexed by cycle.
+type bitRow []uint64
+
+func (b bitRow) has(cycle int) bool {
+	w := uint(cycle) >> 6
+	return w < uint(len(b)) && b[w]&(1<<(uint(cycle)&63)) != 0
+}
+
+func (b *bitRow) set(cycle int) {
+	w := cycle >> 6
+	*b = grow(*b, w)
+	(*b)[w] |= 1 << (uint(cycle) & 63)
+}
+
+// grow extends s with zeros so that index i is valid.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// at returns row[i], or zero past the end of the row.
+func at(row []int, i int) int {
+	if i < len(row) {
+		return row[i]
+	}
+	return 0
 }
 
 // NewTables returns empty reservation tables building a schedule for g on m.
 func NewTables(g *ir.Graph, m *machine.Model) *Tables {
 	g.Seal()
+	n, nc, nfu := g.Len(), m.NumClusters, len(m.FUs)
 	t := &Tables{
-		g:       g,
-		m:       m,
-		sched:   schedule.New(g, m),
-		placed:  make([]bool, g.Len()),
-		arrival: make([]map[int]int, g.Len()),
-		fuBusy:  make(map[fuSlot]bool),
-		send:    make(map[portSlot]int),
-		recv:    make(map[portSlot]int),
-		links:   make(map[linkSlot]bool),
-		xfer:    m.XferFU(),
+		g:        g,
+		m:        m,
+		sched:    schedule.New(g, m),
+		nc:       nc,
+		nfu:      nfu,
+		placed:   make([]bool, n),
+		memStart: make([]int, n+1),
+		arrival:  make([]int, n*nc),
+		floor:    make([]int, n*nc),
+		fuBusy:   make([]bitRow, nc*nfu),
+		send:     make([][]int, nc),
+		recv:     make([][]int, nc),
+		links:    make([]bitRow, nc*nc),
+		xfer:     m.XferFU(),
 	}
 	for i := range t.arrival {
-		t.arrival[i] = make(map[int]int)
+		t.arrival[i] = -1
+	}
+	// Memory-predecessor index, bucketed by successor.
+	edges := g.MemEdges()
+	for _, e := range edges {
+		t.memStart[e[1]+1]++
+	}
+	for i := 0; i < n; i++ {
+		t.memStart[i+1] += t.memStart[i]
+	}
+	t.memPreds = make([]int, len(edges))
+	fill := append([]int(nil), t.memStart[:n]...)
+	for _, e := range edges {
+		t.memPreds[fill[e[1]]] = e[0]
+		fill[e[1]]++
 	}
 	return t
 }
@@ -82,7 +137,10 @@ func (t *Tables) PlacedCount() int {
 
 // FUFree reports whether the functional unit is unreserved at the cycle.
 func (t *Tables) FUFree(cluster, fu, cycle int) bool {
-	return !t.fuBusy[fuSlot{cluster, fu, cycle}]
+	if cluster < 0 || cluster >= t.nc || fu < 0 || fu >= t.nfu {
+		return true
+	}
+	return !t.fuBusy[cluster*t.nfu+fu].has(cycle)
 }
 
 // FindFU returns a free functional unit on the cluster able to issue the
@@ -97,7 +155,8 @@ func (t *Tables) FindFU(op ir.Op, cluster, cycle int) int {
 }
 
 // Place commits instruction i to (cluster, fu, start). It panics on
-// resource conflicts or illegal placements: callers are expected to have
+// resource conflicts or illegal placements (including an out-of-range
+// cluster or unit, or a negative cycle): callers are expected to have
 // checked with FindFU/OperandsArriveBy first, so a violation is a scheduler
 // bug, not an input error.
 func (t *Tables) Place(i, cluster, fu, start int) {
@@ -106,14 +165,14 @@ func (t *Tables) Place(i, cluster, fu, start int) {
 	}
 	in := t.g.Instrs[i]
 	lat, ok := t.m.InstrLatency(in, cluster)
-	if !ok {
-		panic(fmt.Sprintf("listsched: instruction %d illegal on cluster %d", i, cluster))
+	if !ok || cluster < 0 || cluster >= t.nc || fu < 0 || fu >= t.nfu || start < 0 {
+		panic(fmt.Sprintf("listsched: instruction %d illegal on cluster %d fu %d cycle %d", i, cluster, fu, start))
 	}
-	key := fuSlot{cluster, fu, start}
-	if t.fuBusy[key] {
+	row := &t.fuBusy[cluster*t.nfu+fu]
+	if row.has(start) {
 		panic(fmt.Sprintf("listsched: FU conflict placing %d on cluster %d fu %d cycle %d", i, cluster, fu, start))
 	}
-	t.fuBusy[key] = true
+	row.set(start)
 	t.placed[i] = true
 	t.sched.Placements[i] = schedule.Placement{Cluster: cluster, FU: fu, Start: start, Latency: lat}
 	if in.Op.HasResult() {
@@ -122,8 +181,8 @@ func (t *Tables) Place(i, cluster, fu, start int) {
 }
 
 func (t *Tables) noteArrival(v, cluster, cycle int) {
-	if cur, ok := t.arrival[v][cluster]; !ok || cycle < cur {
-		t.arrival[v][cluster] = cycle
+	if k := v*t.nc + cluster; t.arrival[k] < 0 || cycle < t.arrival[k] {
+		t.arrival[k] = cycle
 	}
 }
 
@@ -135,10 +194,10 @@ func (t *Tables) Arrival(v, cluster int) int {
 	if t.placed[v] && t.g.Instrs[v].Op.IsConst() {
 		return t.ReadyOnHome(v)
 	}
-	if a, ok := t.arrival[v][cluster]; ok {
-		return a
+	if cluster < 0 || cluster >= t.nc {
+		return -1
 	}
-	return -1
+	return t.arrival[v*t.nc+cluster]
 }
 
 // ReadyOnHome returns the cycle value v is ready on its producing cluster.
@@ -147,33 +206,42 @@ func (t *Tables) ReadyOnHome(v int) int {
 	return t.sched.Placements[v].Ready()
 }
 
-// routeSlot finds the earliest depart >= from such that the send port, the
-// transfer unit (if any), every link of the dimension-ordered route and the
-// receive port are all free.
-func (t *Tables) routeSlot(src, dst, from int) (depart, arrive int) {
+// routeSlot finds the earliest departure for value v to the cluster such
+// that the send port, the transfer unit (if any), every link of the
+// dimension-ordered route and the receive port are all free, and returns
+// the source cluster with the departure and arrival cycles.
+//
+// The search starts at the later of v's ready cycle and the departure the
+// previous search for the same route found. That floor is exact: v must be
+// placed, the source, ready cycle and route of a placed value never change,
+// and Tables never releases a reservation, so every cycle the previous
+// search skipped is still blocked.
+func (t *Tables) routeSlot(v, dst int) (src, depart, arrive int) {
+	src = t.sched.Placements[v].Cluster
+	from := t.ReadyOnHome(v)
+	k := v*t.nc + dst
+	if t.floor[k] > from {
+		from = t.floor[k]
+	}
 	lat := t.m.CommLatency(src, dst)
 	route := t.m.Route(src, dst)
+	send, recv := t.send[src], t.recv[dst]
+	var xfer bitRow
+	if t.xfer >= 0 {
+		xfer = t.fuBusy[src*t.nfu+t.xfer]
+	}
+search:
 	for d := from; ; d++ {
-		if t.send[portSlot{src, d}] >= t.m.SendPorts {
+		if at(send, d) >= t.m.SendPorts || xfer.has(d) || at(recv, d+lat) >= t.m.RecvPorts {
 			continue
 		}
-		if t.xfer >= 0 && !t.FUFree(src, t.xfer, d) {
-			continue
-		}
-		if t.recv[portSlot{dst, d + lat}] >= t.m.RecvPorts {
-			continue
-		}
-		blocked := false
 		for hop, l := range route {
-			if t.links[linkSlot{l, d + hop}] {
-				blocked = true
-				break
+			if t.links[l.From*t.nc+l.To].has(d + hop) {
+				continue search
 			}
 		}
-		if blocked {
-			continue
-		}
-		return d, d + lat
+		t.floor[k] = d
+		return src, d, d + lat
 	}
 }
 
@@ -185,8 +253,7 @@ func (t *Tables) ProbeRoute(v, cluster int) int {
 	if a := t.Arrival(v, cluster); a >= 0 {
 		return a
 	}
-	src := t.sched.Placements[v].Cluster
-	_, arrive := t.routeSlot(src, cluster, t.ReadyOnHome(v))
+	_, _, arrive := t.routeSlot(v, cluster)
 	return arrive
 }
 
@@ -201,15 +268,16 @@ func (t *Tables) Route(v, cluster int) int {
 	if !t.placed[v] {
 		panic(fmt.Sprintf("listsched: routing unplaced value %d", v))
 	}
-	src := t.sched.Placements[v].Cluster
-	depart, arrive := t.routeSlot(src, cluster, t.ReadyOnHome(v))
-	t.send[portSlot{src, depart}]++
-	t.recv[portSlot{cluster, arrive}]++
+	src, depart, arrive := t.routeSlot(v, cluster)
+	t.send[src] = grow(t.send[src], depart)
+	t.send[src][depart]++
+	t.recv[cluster] = grow(t.recv[cluster], arrive)
+	t.recv[cluster][arrive]++
 	for hop, l := range t.m.Route(src, cluster) {
-		t.links[linkSlot{l, depart + hop}] = true
+		t.links[l.From*t.nc+l.To].set(depart + hop)
 	}
 	if t.xfer >= 0 {
-		t.fuBusy[fuSlot{src, t.xfer, depart}] = true
+		t.fuBusy[src*t.nfu+t.xfer].set(depart)
 	}
 	t.sched.Comms = append(t.sched.Comms, schedule.Comm{Value: v, From: src, To: cluster, Depart: depart, Arrive: arrive})
 	t.noteArrival(v, cluster, arrive)
@@ -236,11 +304,9 @@ func (t *Tables) EarliestStart(i, cluster int, commit bool) int {
 	}
 	// Memory-order predecessors impose lockstep completion ordering but
 	// move no value.
-	for _, e := range t.g.MemEdges() {
-		if e[1] == i {
-			if r := t.ReadyOnHome(e[0]); r > est {
-				est = r
-			}
+	for _, p := range t.memPreds[t.memStart[i]:t.memStart[i+1]] {
+		if r := t.ReadyOnHome(p); r > est {
+			est = r
 		}
 	}
 	return est
