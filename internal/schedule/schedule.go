@@ -273,11 +273,31 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	// Dependence timing.
+	// Dependence timing. The earliest arrival of every (value, cluster)
+	// is folded over the comms once, with ArrivalOn's rule, so checking
+	// an operand is a lookup. The table is sized by the graph, not by
+	// cycle values, which are untrusted here; the occupancy checks above
+	// keep their maps for the same reason.
+	nc := m.NumClusters
+	arrival := make([]int, g.Len()*nc)
+	for k := range arrival {
+		arrival[k] = -1
+	}
+	for _, c := range s.Comms {
+		if c.To < 0 || c.To >= nc {
+			continue // no consumer runs there
+		}
+		if k := c.Value*nc + c.To; arrival[k] < 0 || c.Arrive < arrival[k] {
+			arrival[k] = c.Arrive
+		}
+	}
 	for i := range g.Instrs {
 		p := s.Placements[i]
 		for _, a := range g.Instrs[i].Args {
-			arr := s.ArrivalOn(a, p.Cluster)
+			arr := arrival[a*nc+p.Cluster]
+			if pa := s.Placements[a]; pa.Cluster == p.Cluster || g.Instrs[a].Op.IsConst() {
+				arr = pa.Ready()
+			}
 			if arr < 0 {
 				return fmt.Errorf("schedule: operand %%%d of instr %d never arrives on cluster %d", a, i, p.Cluster)
 			}

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -372,4 +373,43 @@ func TestValidateCatchesPlacementCountMismatch(t *testing.T) {
 	m := machine.Raw(1)
 	s := &Schedule{Graph: g, Machine: m, Placements: make([]Placement, 1)}
 	expectInvalid(t, s, "placements for")
+}
+
+func TestValidateUsesEarliestOfDuplicateComms(t *testing.T) {
+	// A second, later copy of the moved value must not hide the first,
+	// whichever order the comms are listed in.
+	for _, later := range []bool{false, true} {
+		s := handSchedule(t)
+		extra := Comm{Value: 1, From: 0, To: 1, Depart: 3, Arrive: 6}
+		if later {
+			s.Comms = append(s.Comms, extra)
+		} else {
+			s.Comms = append([]Comm{extra}, s.Comms...)
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("extra comm listed later=%v: %v", later, err)
+		}
+		if got := s.ArrivalOn(1, 1); got != 5 {
+			t.Errorf("ArrivalOn(1,1) = %d, want 5", got)
+		}
+	}
+}
+
+func TestValidateForgedCyclesAllocateByGraphSize(t *testing.T) {
+	// Cycle values in stored, peer or forged records are untrusted: a
+	// schedule pushed out to cycle 1<<40 is legal and must be checked
+	// without tables sized by its cycles.
+	s := handSchedule(t)
+	const far = 1 << 40
+	s.Placements[2].Start = far
+	s.Comms[0].Depart, s.Comms[0].Arrive = far-3, far
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("far-future schedule rejected: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("Validate allocated %d bytes for a 3-instruction schedule", grew)
+	}
 }
