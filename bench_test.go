@@ -436,9 +436,10 @@ func BenchmarkAblationRegPressure(b *testing.B) {
 }
 
 // BenchmarkListScheduler isolates the shared cycle-driven list scheduler on
-// a large random graph: the substrate every scheduler pays for.
+// large random graphs: the substrate every scheduler pays for. n4000 is the
+// largest Fig 10 size, where superlinear reservation probing shows.
 func BenchmarkListScheduler(b *testing.B) {
-	for _, n := range []int{200, 1000} {
+	for _, n := range []int{200, 1000, 4000} {
 		g := bench.RandomLayered(n, n/12+4, 4, exp.Seed)
 		m := machine.Chorus(4)
 		assign := make([]int, g.Len())
@@ -449,6 +450,7 @@ func BenchmarkListScheduler(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := listsched.Run(g, m, listsched.Options{Assignment: assign}); err != nil {
 					b.Fatal(err)
