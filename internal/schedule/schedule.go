@@ -200,7 +200,7 @@ func (s *Schedule) Validate() error {
 	}
 	// FU occupancy, including transfer-unit use by communications.
 	type fuSlot struct{ cluster, fu, cycle int }
-	fuBusy := make(map[fuSlot]int)
+	fuBusy := make(map[fuSlot]int, len(s.Placements)+len(s.Comms))
 	for i, p := range s.Placements {
 		key := fuSlot{p.Cluster, p.FU, p.Start}
 		if prev, clash := fuBusy[key]; clash {
@@ -211,8 +211,8 @@ func (s *Schedule) Validate() error {
 	xfer := m.XferFU()
 	// Port occupancy and communication legality.
 	type portSlot struct{ cluster, cycle int }
-	sendUse := make(map[portSlot]int)
-	recvUse := make(map[portSlot]int)
+	sendUse := make(map[portSlot]int, len(s.Comms))
+	recvUse := make(map[portSlot]int, len(s.Comms))
 	for ci, c := range s.Comms {
 		if c.Value < 0 || c.Value >= g.Len() {
 			return fmt.Errorf("schedule: comm %d moves unknown value %d", ci, c.Value)
@@ -261,7 +261,7 @@ func (s *Schedule) Validate() error {
 			link  machine.Link
 			cycle int
 		}
-		linkUse := make(map[linkSlot]int)
+		linkUse := make(map[linkSlot]int, len(s.Comms))
 		for ci, c := range s.Comms {
 			for hop, l := range m.Route(c.From, c.To) {
 				key := linkSlot{l, c.Depart + hop}
