@@ -91,7 +91,7 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 			candidates = append(candidates, i)
 		}
 	}
-	order := &byPriority{prio: prio, ids: candidates}
+	order := &byPriority{prio: prio}
 	sortCandidates := func() {
 		order.ids = candidates
 		sort.Sort(order)
