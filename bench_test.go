@@ -72,7 +72,7 @@ func BenchmarkTable1PassSequences(b *testing.B) {
 			g := k.Build(c.m.NumClusters)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.Converge(g, c.m, c.seq, exp.Seed)
+				core.ConvergeCtx(context.Background(), g, c.m, c.seq, exp.Seed)
 			}
 		})
 	}
@@ -90,7 +90,7 @@ func BenchmarkTable2RawSpeedup(b *testing.B) {
 				g := k.Build(tiles)
 				var cycles int
 				for i := 0; i < b.N; i++ {
-					s, _, err := core.Schedule(g, m, passes.RawSequence(), exp.Seed)
+					s, _, err := core.ScheduleCtx(context.Background(), g, m, passes.RawSequence(), exp.Seed)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -127,7 +127,7 @@ func BenchmarkFig6RawBars(b *testing.B) {
 			g := k.Build(16)
 			var conv, base int
 			for i := 0; i < b.N; i++ {
-				cs, _, err := core.Schedule(g, m, passes.RawSequence(), exp.Seed)
+				cs, _, err := core.ScheduleCtx(context.Background(), g, m, passes.RawSequence(), exp.Seed)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -153,7 +153,7 @@ func BenchmarkFig7Convergence(b *testing.B) {
 			g := k.Build(16)
 			var churn float64
 			for i := 0; i < b.N; i++ {
-				res := core.Converge(g, m, passes.RawSequence(), exp.Seed)
+				res := core.ConvergeCtx(context.Background(), g, m, passes.RawSequence(), exp.Seed)
 				churn = 0
 				for _, pc := range res.Trace {
 					churn += pc.Fraction
@@ -198,7 +198,7 @@ func BenchmarkFig8VliwSpeedup(b *testing.B) {
 			g := k.Build(4)
 			var cycles int
 			for i := 0; i < b.N; i++ {
-				s, _, err := core.Schedule(g, m, passes.VliwSequence(), exp.Seed)
+				s, _, err := core.ScheduleCtx(context.Background(), g, m, passes.VliwSequence(), exp.Seed)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -217,7 +217,7 @@ func BenchmarkFig9Convergence(b *testing.B) {
 			g := k.Build(4)
 			var churn float64
 			for i := 0; i < b.N; i++ {
-				res := core.Converge(g, m, passes.VliwSequence(), exp.Seed)
+				res := core.ConvergeCtx(context.Background(), g, m, passes.VliwSequence(), exp.Seed)
 				churn = 0
 				for _, pc := range res.Trace {
 					churn += pc.Fraction
@@ -251,7 +251,7 @@ func BenchmarkFig10Scalability(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("conv/%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Schedule(g, m, passes.VliwSequence(), exp.Seed); err != nil {
+				if _, _, err := core.ScheduleCtx(context.Background(), g, m, passes.VliwSequence(), exp.Seed); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -272,11 +272,11 @@ func ablate(b *testing.B, m *machine.Model, suite []bench.Kernel, ref, variant [
 		ratioSum, count = 0, 0
 		for _, k := range suite {
 			g := k.Build(m.NumClusters)
-			rs, _, err := core.Schedule(g, m, ref, exp.Seed)
+			rs, _, err := core.ScheduleCtx(context.Background(), g, m, ref, exp.Seed)
 			if err != nil {
 				b.Fatal(err)
 			}
-			vs, _, err := core.Schedule(g, m, variant, exp.Seed)
+			vs, _, err := core.ScheduleCtx(context.Background(), g, m, variant, exp.Seed)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -404,7 +404,7 @@ func BenchmarkAblationRegPressure(b *testing.B) {
 	run := func(b *testing.B, seq []core.Pass) (lenSum, spills int) {
 		for _, k := range bench.VliwSuite() {
 			g := k.Build(4)
-			s, _, err := core.Schedule(g, m, seq, exp.Seed)
+			s, _, err := core.ScheduleCtx(context.Background(), g, m, seq, exp.Seed)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -153,8 +153,9 @@ func run(o options, args []string) error {
 	if err != nil {
 		return err
 	}
-	if o.tuned && o.scheduler != "convergent" {
-		return fmt.Errorf("-tuned selects a convergent pass sequence; use -scheduler convergent, not %q", o.scheduler)
+	ladder, ladderID, err := robust.LadderFor(m, o.scheduler, o.tuned, o.fallback, o.seed)
+	if err != nil {
+		return err
 	}
 	paths, err := expandInputs(args)
 	if err != nil {
@@ -184,7 +185,7 @@ func run(o options, args []string) error {
 		return runRemote(o, paths)
 	}
 	if len(paths) > 1 {
-		return runBatch(o, m, paths)
+		return runBatch(o, m, paths, ladder, ladderID)
 	}
 	var g *ir.Graph
 	if len(paths) == 0 {
@@ -200,9 +201,7 @@ func run(o options, args []string) error {
 		return showTrace(o, g, m)
 	}
 
-	var ladder []robust.Rung
-	switch {
-	case o.chaos != "":
+	if o.chaos != "" {
 		if o.scheduler != "convergent" {
 			return fmt.Errorf("-chaos poisons the convergent ladder; use -scheduler convergent, not %q", o.scheduler)
 		}
@@ -213,20 +212,6 @@ func run(o options, args []string) error {
 		if ladder, err = chaos.Ladder(m, o.seed); err != nil {
 			return fmt.Errorf("%w (see -chaos-list)", err)
 		}
-	case o.tuned && o.fallback:
-		ladder = robust.TunedLadder(m, o.seed)
-	case o.tuned:
-		ladder = []robust.Rung{robust.ConvergentRung("convergent-tuned", m, passes.TunedForMachine(m.Name), o.seed)}
-	case o.fallback:
-		if ladder, err = robust.LadderFor(m, o.scheduler, o.seed); err != nil {
-			return err
-		}
-	default:
-		r, err := robust.RungFor(m, o.scheduler, o.seed)
-		if err != nil {
-			return err
-		}
-		ladder = []robust.Rung{r}
 	}
 
 	ctx := context.Background()
@@ -239,6 +224,7 @@ func run(o options, args []string) error {
 		Timeout: o.timeout,
 		Verify:  o.verify,
 		Ladder:  ladder,
+		Seed:    o.seed,
 	})
 	// The trace is written even when every rung failed: the recorded pass
 	// deltas and attempts are exactly what explains the failure.
@@ -261,47 +247,15 @@ func run(o options, args []string) error {
 // runBatch schedules every input unit over the engine's worker pool with the
 // content-addressed schedule cache, printing one stats line per unit and a
 // cache summary. Failures are per-unit: a bad graph reports its error and
-// the rest of the batch completes.
-func runBatch(o options, m *machine.Model, paths []string) error {
+// the rest of the batch completes. Every unit shares the ladder and its
+// cache identity; a nil ladder is the driver's default, which the engine
+// identifies itself (robust.DefaultLadderID).
+func runBatch(o options, m *machine.Model, paths []string, ladder []robust.Rung, ladderID string) error {
 	if o.chaos != "" {
 		return fmt.Errorf("-chaos is a single-input feature")
 	}
 	if o.show != "stats" {
 		return fmt.Errorf("-show %s is a single-input feature; batch mode prints stats", o.show)
-	}
-
-	// The ladder is shared by every unit in the batch. Its cache identity
-	// only has to separate keys within this invocation (the cache dies with
-	// the process), so scheduler name, fallback mode and seed pin it; the
-	// machine's contribution is already in the key via its fingerprint. The
-	// convergent fallback ladder is the driver's default, which the engine
-	// identifies itself (robust.DefaultLadderID) when Ladder is nil.
-	var ladder []robust.Rung
-	var ladderID string
-	switch {
-	case o.tuned && o.fallback:
-		ladder = robust.TunedLadder(m, o.seed)
-		ladderID = robust.TunedLadderID(m, o.seed)
-	case o.tuned:
-		seq := passes.TunedForMachine(m.Name)
-		ladder = []robust.Rung{robust.ConvergentRung("convergent-tuned", m, seq, o.seed)}
-		ladderID = fmt.Sprintf("rung:convergent-tuned[%s]:seed=%d", core.SequenceID(seq), o.seed)
-	case o.fallback && o.scheduler == "convergent":
-		// Leave Ladder nil: robust walks DefaultLadder(m, seed).
-	case o.fallback:
-		l, err := robust.LadderFor(m, o.scheduler, o.seed)
-		if err != nil {
-			return err
-		}
-		ladder = l
-		ladderID = fmt.Sprintf("fallback:%s:seed=%d", o.scheduler, o.seed)
-	default:
-		r, err := robust.RungFor(m, o.scheduler, o.seed)
-		if err != nil {
-			return err
-		}
-		ladder = []robust.Rung{r}
-		ladderID = fmt.Sprintf("rung:%s:seed=%d", o.scheduler, o.seed)
 	}
 
 	jobs := make([]engine.Job, len(paths))
@@ -397,7 +351,7 @@ func writeTraceFile(path string, tr *obs.Trace) error {
 }
 
 // showTrace runs the convergent scheduler directly (the per-pass trace only
-// exists inside core.Schedule) with panic isolation but no ladder.
+// exists inside core.ScheduleCtx) with panic isolation but no ladder.
 func showTrace(o options, g *ir.Graph, m *machine.Model) error {
 	if o.scheduler != "convergent" {
 		return fmt.Errorf("-show trace requires -scheduler convergent")
@@ -411,7 +365,7 @@ func showTrace(o options, g *ir.Graph, m *machine.Model) error {
 	}
 	var res *core.Result
 	s, err := robust.Guard("convergent", func() (*schedule.Schedule, error) {
-		s, r, err := core.Schedule(g, m, seq, o.seed)
+		s, r, err := core.ScheduleCtx(context.Background(), g, m, seq, o.seed)
 		res = r
 		return s, err
 	})

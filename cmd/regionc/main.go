@@ -15,19 +15,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/baseline/pcc"
-	"repro/internal/baseline/rawcc"
-	"repro/internal/baseline/uas"
-	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/listsched"
 	"repro/internal/machine"
-	"repro/internal/passes"
 	"repro/internal/region"
+	"repro/internal/robust"
 	"repro/internal/schedule"
 )
 
@@ -45,41 +41,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "regionc:", err)
 		os.Exit(1)
 	}
-}
-
-func schedulerByName(name string, seed int64) (region.Scheduler, error) {
-	switch name {
-	case "convergent":
-		return func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
-			s, _, err := core.Schedule(g, m, passes.ForMachine(m.Name), seed)
-			return s, err
-		}, nil
-	case "rawcc":
-		return func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
-			return rawcc.Schedule(g, m)
-		}, nil
-	case "uas":
-		return func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
-			return uas.Schedule(g, m)
-		}, nil
-	case "pcc":
-		return func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
-			return pcc.Schedule(g, m, pcc.Options{})
-		}, nil
-	case "list":
-		return func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
-			assign := make([]int, g.Len())
-			for i, in := range g.Instrs {
-				if in.Preplaced() {
-					assign[i] = in.Home
-				} else if in.Op.IsMemory() {
-					assign[i] = m.BankOwner(in.Bank)
-				}
-			}
-			return listsched.Run(g, m, listsched.Options{Assignment: assign})
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown scheduler %q", name)
 }
 
 func run(machineName, scheduler, policy string, ifconvert, superblocks bool, maxSteps int, seed int64, args []string) error {
@@ -132,11 +93,13 @@ func run(machineName, scheduler, policy string, ifconvert, superblocks bool, max
 	default:
 		return fmt.Errorf("unknown policy %q", policy)
 	}
-	sched, err := schedulerByName(scheduler, seed)
+	ladder, _, err := robust.LadderFor(m, scheduler, false, false, seed)
 	if err != nil {
 		return err
 	}
-	c, err := region.Compile(f, m, pol, sched)
+	c, err := region.Compile(f, m, pol, func(g *ir.Graph, _ *machine.Model) (*schedule.Schedule, error) {
+		return ladder[0].Run(context.Background(), g)
+	})
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -93,7 +94,7 @@ func buildKernel(tiles int) *ir.Graph {
 func scheduleWith(seq []core.Pass, tiles int) (cycles, comms int) {
 	g := buildKernel(tiles)
 	m := machine.Raw(tiles)
-	sched, _, err := core.Schedule(g, m, seq, 2002)
+	sched, _, err := core.ScheduleCtx(context.Background(), g, m, seq, 2002)
 	if err != nil {
 		log.Fatal(err)
 	}

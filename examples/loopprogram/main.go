@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -91,7 +92,7 @@ func main() {
 			return rawcc.Schedule(g, mm)
 		}},
 		{"convergent", func(g *ir.Graph, mm *machine.Model) (*schedule.Schedule, error) {
-			s, _, err := core.Schedule(g, mm, passes.RawSequence(), 2002)
+			s, _, err := core.ScheduleCtx(context.Background(), g, mm, passes.RawSequence(), 2002)
 			return s, err
 		}},
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 	fmt.Printf("graph: %s\n", g.ComputeStats())
 
 	// Converge the preferences with the published Raw pass sequence.
-	sched, res, err := core.Schedule(g, m, passes.RawSequence(), 2002)
+	sched, res, err := core.ScheduleCtx(context.Background(), g, m, passes.RawSequence(), 2002)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,7 @@ func main() {
 	}
 	run("rawcc", bs)
 
-	cs, convRes, err := core.Schedule(k.Build(tiles), m, passes.RawSequence(), 2002)
+	cs, convRes, err := core.ScheduleCtx(context.Background(), k.Build(tiles), m, passes.RawSequence(), 2002)
 	if err != nil {
 		log.Fatal(err)
 	}

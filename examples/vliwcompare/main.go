@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -53,7 +54,7 @@ func main() {
 		{"uas", func() (*schedule.Schedule, error) { return uas.Schedule(k.Build(clusters), m) }},
 		{"rawcc-style", func() (*schedule.Schedule, error) { return rawcc.Schedule(k.Build(clusters), m) }},
 		{"convergent", func() (*schedule.Schedule, error) {
-			s, _, err := core.Schedule(k.Build(clusters), m, passes.VliwSequence(), 2002)
+			s, _, err := core.ScheduleCtx(context.Background(), k.Build(clusters), m, passes.VliwSequence(), 2002)
 			return s, err
 		}},
 	}

@@ -8,7 +8,7 @@ package repro
 // before the rewrite landed); every kernel × machine × seed combination is
 // fingerprinted and compared against that frozen truth.
 //
-// A second sweep compares the pooled path (core.Schedule, which recycles
+// A second sweep compares the pooled path (core.ScheduleCtx, which recycles
 // State/PrefMap/scratch through the package pool) against a fresh-allocation
 // run of the same pass sequence (core.NewState + core.ScheduleState), so
 // buffer recycling is proven inert on live outputs, not just against the
@@ -51,7 +51,7 @@ func hotpathKey(kernel, mach string, seed int64) string {
 }
 
 // hotpathSweep fingerprints every kernel × machine × seed cell through
-// core.Schedule. A scheduling error is recorded as "error:<message>" so a
+// core.ScheduleCtx. A scheduling error is recorded as "error:<message>" so a
 // combination that stops (or starts) failing is also a detected divergence.
 func hotpathSweep(t *testing.T) map[string]string {
 	t.Helper()
@@ -61,7 +61,7 @@ func hotpathSweep(t *testing.T) map[string]string {
 		for _, k := range bench.All() {
 			g := k.Build(m.NumClusters)
 			for _, seed := range hotpathSeeds {
-				s, _, err := core.Schedule(g, m, seq, seed)
+				s, _, err := core.ScheduleCtx(context.Background(), g, m, seq, seed)
 				key := hotpathKey(k.Name, m.Name, seed)
 				if err != nil {
 					out[key] = "error:" + err.Error()
@@ -135,7 +135,7 @@ func TestHotPathByteIdenticalToGolden(t *testing.T) {
 }
 
 // TestPooledPathMatchesFreshAllocation is the live half of the differential:
-// the pooled driver entry point (core.Schedule, which recycles State, PrefMap
+// the pooled driver entry point (core.ScheduleCtx, which recycles State, PrefMap
 // backing and scratch arena through a sync.Pool) must produce byte-identical
 // schedules and converged results to a fresh-allocation run of the same pass
 // sequence through core.NewState + core.ScheduleState. Each cell runs the
@@ -160,8 +160,8 @@ func TestPooledPathMatchesFreshAllocation(t *testing.T) {
 				// First pooled run primes the pool with a state shaped by
 				// this graph; the second proves a recycled state converges
 				// identically.
-				ps1, pres1, perr1 := core.Schedule(g, m, seq, seed)
-				ps2, pres2, perr2 := core.Schedule(g, m, seq, seed)
+				ps1, pres1, perr1 := core.ScheduleCtx(ctx, g, m, seq, seed)
+				ps2, pres2, perr2 := core.ScheduleCtx(ctx, g, m, seq, seed)
 
 				if (ferr == nil) != (perr1 == nil) || (ferr == nil) != (perr2 == nil) {
 					t.Errorf("%s: error disagreement: fresh=%v pooled=%v recycled=%v", key, ferr, perr1, perr2)

@@ -50,29 +50,25 @@ func (r *Result) Priority() []float64 {
 	return p
 }
 
-// Converge runs the pass sequence over a fresh state and returns the
+// ConvergeCtx runs the pass sequence over a fresh state and returns the
 // converged preferences. The seed fixes the noise pass; every other pass is
 // deterministic. The weight-map invariants are restored after every pass.
-func Converge(g *ir.Graph, m *machine.Model, passes []Pass, seed int64) *Result {
-	return ConvergeCtx(context.Background(), g, m, passes, seed)
-}
-
-// ConvergeCtx is Converge with a context; when the context carries an
-// obs.Trace, each pass records a preference-map delta into it.
+// When the context carries an obs.Trace, each pass records a preference-map
+// delta into it.
 //
 // The state is drawn from an internal pool and returned to it before
 // ConvergeCtx returns; the Result never aliases pooled memory. The pooled
-// path is proven byte-identical to a fresh NewState + ConvergeStateCtx run by
+// path is proven byte-identical to a fresh NewState + ScheduleState run by
 // the differential harness at the repository root.
 func ConvergeCtx(ctx context.Context, g *ir.Graph, m *machine.Model, passes []Pass, seed int64) *Result {
 	s := newPooledState(g, m, seed)
-	res := ConvergeStateCtx(ctx, s, passes)
+	res := convergeState(ctx, s, passes)
 	s.release()
 	return res
 }
 
 // RunPasses runs the pass sequence over the state — each pass followed by
-// renormalization, exactly the loop ConvergeStateCtx runs — without churn
+// renormalization, exactly the loop convergeState runs — without churn
 // tracking or result construction. It rewinds the state's scratch arena and
 // performs no heap allocations once the state is warm (arena and caches at
 // their high-water marks); the allocation-regression tests pin this at zero
@@ -83,12 +79,6 @@ func RunPasses(s *State, passes []Pass) {
 		p.Run(s)
 		s.W.NormalizeAll()
 	}
-}
-
-// ConvergeState is Converge on a caller-built state, allowing callers to
-// pre-bias the map or reuse analyses.
-func ConvergeState(s *State, passes []Pass) *Result {
-	return ConvergeStateCtx(context.Background(), s, passes)
 }
 
 // clusterMarginals returns the per-instruction cluster marginal distribution
@@ -157,11 +147,12 @@ func passDelta(w *PrefMap, before, after [][]float64, prev, cur []int) obs.PassD
 	return d
 }
 
-// ConvergeStateCtx is ConvergeState with a context. A trace carried by the
-// context receives one PassDelta per pass; without one the loop is exactly
-// the untraced path (recording only reads the map, so traced and untraced
-// runs produce byte-identical results either way).
-func ConvergeStateCtx(ctx context.Context, s *State, passes []Pass) *Result {
+// convergeState runs the pass sequence over a caller-built state, which may
+// be pre-biased. A trace carried by the context receives one PassDelta per
+// pass; without one the loop is exactly the untraced path (recording only
+// reads the map, so traced and untraced runs produce byte-identical results
+// either way).
+func convergeState(ctx context.Context, s *State, passes []Pass) *Result {
 	tr := obs.FromContext(ctx)
 	rung := obs.RungFromContext(ctx)
 	n := s.Graph.Len()
@@ -221,18 +212,14 @@ func ConvergeStateCtx(ctx context.Context, s *State, passes []Pass) *Result {
 	return res
 }
 
-// Schedule runs the full convergent scheduler: converge preferences, then
+// ScheduleCtx runs the full convergent scheduler: converge preferences, then
 // list-schedule with the preferred clusters as the assignment and the
 // preferred times as priorities. Constants are rebalanced across their
 // consumers' clusters first (see listsched.SpreadConsts), and preferred-time
-// ties break toward the instruction heading the longest remaining chain.
-func Schedule(g *ir.Graph, m *machine.Model, passes []Pass, seed int64) (*schedule.Schedule, *Result, error) {
-	return ScheduleCtx(context.Background(), g, m, passes, seed)
-}
-
-// ScheduleCtx is Schedule with a context; a trace carried by the context
-// records per-pass preference-map deltas during convergence. Like
-// ConvergeCtx it runs on a pooled state, released before returning.
+// ties break toward the instruction heading the longest remaining chain. A
+// trace carried by the context records per-pass preference-map deltas during
+// convergence. Like ConvergeCtx it runs on a pooled state, released before
+// returning.
 func ScheduleCtx(ctx context.Context, g *ir.Graph, m *machine.Model, passes []Pass, seed int64) (*schedule.Schedule, *Result, error) {
 	if err := listsched.CheckGraph(g, m); err != nil {
 		return nil, nil, err
@@ -242,9 +229,10 @@ func ScheduleCtx(ctx context.Context, g *ir.Graph, m *machine.Model, passes []Pa
 	return scheduleState(ctx, s, passes)
 }
 
-// ScheduleState runs the full convergent scheduler on a caller-built state.
-// It is the non-pooled twin of ScheduleCtx: the differential harness drives
-// both over the same inputs to prove the pooled path changes nothing.
+// ScheduleState runs the full convergent scheduler on a caller-built state,
+// which may be pre-biased. It is the never-pooled reference for ScheduleCtx:
+// the differential harness drives both over the same inputs to prove the
+// pooled path changes nothing.
 func ScheduleState(ctx context.Context, s *State, passes []Pass) (*schedule.Schedule, *Result, error) {
 	if err := listsched.CheckGraph(s.Graph, s.Machine); err != nil {
 		return nil, nil, err
@@ -255,7 +243,7 @@ func ScheduleState(ctx context.Context, s *State, passes []Pass) (*schedule.Sche
 // scheduleState converges preferences on s and list-schedules the result.
 func scheduleState(ctx context.Context, s *State, passes []Pass) (*schedule.Schedule, *Result, error) {
 	g, m := s.Graph, s.Machine
-	res := ConvergeStateCtx(ctx, s, passes)
+	res := convergeState(ctx, s, passes)
 	listsched.SpreadConsts(g, m, res.Assignment)
 	prio := res.Priority()
 	h := g.Height(m.LatencyFunc())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestLoadsSumToInstructionCount(t *testing.T) {
 func TestConvergeTraceAndInvariants(t *testing.T) {
 	g := smallGraph()
 	m := machine.Raw(2)
-	res := Converge(g, m, []Pass{forceCluster{1}, forceCluster{0}}, 7)
+	res := ConvergeCtx(context.Background(), g, m, []Pass{forceCluster{1}, forceCluster{0}}, 7)
 	if len(res.Trace) != 2 {
 		t.Fatalf("Trace has %d entries", len(res.Trace))
 	}
@@ -92,7 +93,7 @@ func TestConvergeHonoursPreplacementUnconditionally(t *testing.T) {
 	m := machine.Raw(2)
 	// A hostile pass pushes everything to cluster 0; the driver must
 	// still pin the preplaced instruction to its home.
-	res := Converge(g, m, []Pass{forceCluster{0}}, 1)
+	res := ConvergeCtx(context.Background(), g, m, []Pass{forceCluster{0}}, 1)
 	if res.Assignment[a.ID] != 1 {
 		t.Errorf("preplaced instruction assigned to %d", res.Assignment[a.ID])
 	}
@@ -108,8 +109,8 @@ func TestConvergeDeterministicForSeed(t *testing.T) {
 			})
 		}
 	}}
-	a := Converge(g, m, []Pass{noise}, 42)
-	b := Converge(g, m, []Pass{noise}, 42)
+	a := ConvergeCtx(context.Background(), g, m, []Pass{noise}, 42)
+	b := ConvergeCtx(context.Background(), g, m, []Pass{noise}, 42)
 	for i := range a.Assignment {
 		if a.Assignment[i] != b.Assignment[i] {
 			t.Fatalf("same seed diverged: %v vs %v", a.Assignment, b.Assignment)
@@ -120,7 +121,7 @@ func TestConvergeDeterministicForSeed(t *testing.T) {
 func TestScheduleEndToEnd(t *testing.T) {
 	g := smallGraph()
 	m := machine.Raw(2)
-	sched, res, err := Schedule(g, m, []Pass{forceCluster{1}}, 1)
+	sched, res, err := ScheduleCtx(context.Background(), g, m, []Pass{forceCluster{1}}, 1)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -24,7 +25,7 @@ func Example() {
 	st.Home = 1 // the result belongs in bank 1, on tile 1
 
 	m := machine.Raw(2)
-	sched, res, err := core.Schedule(g, m, passes.RawSequence(), 2002)
+	sched, res, err := core.ScheduleCtx(context.Background(), g, m, passes.RawSequence(), 2002)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -60,7 +61,7 @@ func ExamplePassFunc() {
 	}}
 	g := ir.New("tiny")
 	g.AddConst(7)
-	res := core.Converge(g, machine.Raw(4), []core.Pass{first}, 1)
+	res := core.ConvergeCtx(context.Background(), g, machine.Raw(4), []core.Pass{first}, 1)
 	fmt.Printf("%s moved %d instruction(s)\n", first.Name(), res.Trace[0].Changed)
 	fmt.Printf("assignment: %v\n", res.Assignment)
 	// Output:

@@ -4,7 +4,7 @@ import "sync"
 
 // Scratch is the per-driver scratch arena behind the zero-allocation hot
 // path. Every buffer a convergent pass (or the driver loop itself) needs for
-// one Converge run is carved out of three grow-only backing arrays — ints,
+// one ConvergeCtx run is carved out of three grow-only backing arrays — ints,
 // floats, bools — plus a small set of reusable append-slices. The arena is
 // rewound (not freed) at the start of each run, so once the backing arrays
 // have grown to a workload's high-water mark the entire pass loop performs

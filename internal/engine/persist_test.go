@@ -27,7 +27,7 @@ import (
 // rung so reference results are cheap and deterministic.
 func persistJobs(t *testing.T, m *machine.Model, kernels []bench.Kernel, scheduler string) []engine.Job {
 	t.Helper()
-	r, err := robust.RungFor(m, scheduler, diffSeed)
+	ladder, ladderID, err := robust.LadderFor(m, scheduler, false, false, diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func persistJobs(t *testing.T, m *machine.Model, kernels []bench.Kernel, schedul
 			ID:       k.Name,
 			Graph:    k.Build(m.NumClusters),
 			Machine:  m,
-			Opts:     robust.Options{Seed: diffSeed, Ladder: []robust.Rung{r}},
-			LadderID: fmt.Sprintf("rung:%s:seed=%d", scheduler, diffSeed),
+			Opts:     robust.Options{Seed: diffSeed, Ladder: ladder},
+			LadderID: ladderID,
 		}
 	}
 	return jobs
@@ -134,10 +134,7 @@ func TestWarmRestartMatchesSerial(t *testing.T) {
 // corruption sweep stays cheap.
 func tinyJobs(t *testing.T, m *machine.Model, n int) []engine.Job {
 	t.Helper()
-	r, err := robust.RungFor(m, "list", diffSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := robust.ListRung(m)
 	jobs := make([]engine.Job, n)
 	for i := range jobs {
 		g := ir.New(fmt.Sprintf("tiny%d", i))

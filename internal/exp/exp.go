@@ -177,7 +177,7 @@ func Convergence(m *machine.Model, suite []bench.Kernel, seq []core.Pass) []Conv
 	var rows []ConvergenceRow
 	for _, k := range suite {
 		g := k.Build(m.NumClusters)
-		res := core.Converge(g, m, seq, Seed)
+		res := core.ConvergeCtx(context.TODO(), g, m, seq, Seed)
 		row := ConvergenceRow{Benchmark: k.Name}
 		for _, pc := range res.Trace {
 			row.Passes = append(row.Passes, pc.Pass)
@@ -307,7 +307,7 @@ func Fig10(sizes []int) ([]Fig10Row, error) {
 
 		t0 = time.Now()
 		if _, err := guarded("convergent", func() (*schedule.Schedule, error) {
-			s, _, err := core.Schedule(g, m, passes.VliwSequence(), Seed)
+			s, _, err := core.ScheduleCtx(context.TODO(), g, m, passes.VliwSequence(), Seed)
 			return s, err
 		}); err != nil {
 			return nil, fmt.Errorf("exp: fig10 conv n=%d: %w", n, err)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +22,7 @@ import (
 func allSchedulers() map[string]func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
 	return map[string]func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error){
 		"convergent": func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
-			s, _, err := core.Schedule(g, m, passes.ForMachine(m.Name), Seed)
+			s, _, err := core.ScheduleCtx(context.Background(), g, m, passes.ForMachine(m.Name), Seed)
 			return s, err
 		},
 		"rawcc": func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -459,7 +460,7 @@ func TestQuickSequencesProduceLegalAssignments(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 10+rng.Intn(30), 4, 4)
-		res := core.Converge(g, machine.Raw(4), RawSequence(), seed)
+		res := core.ConvergeCtx(context.Background(), g, machine.Raw(4), RawSequence(), seed)
 		for i, c := range res.Assignment {
 			if c < 0 || c >= 4 {
 				return false

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -315,7 +316,7 @@ func TestCompileWithConvergentScheduler(t *testing.T) {
 	f, result := sumLoop()
 	m := machine.Raw(4)
 	conv := func(g *ir.Graph, mm *machine.Model) (*schedule.Schedule, error) {
-		s, _, err := core.Schedule(g, mm, passes.ForMachine(mm.Name), 2002)
+		s, _, err := core.ScheduleCtx(context.Background(), g, mm, passes.ForMachine(mm.Name), 2002)
 		return s, err
 	}
 	c, err := Compile(f, m, RoundRobin, conv)

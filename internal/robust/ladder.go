@@ -37,12 +37,15 @@ func TruncatedSequence(seq []core.Pass) []core.Pass {
 // (Raw), UAS on clustered VLIWs.
 func BaselineRung(m *machine.Model) Rung {
 	if m.RemoteMemPenalty < 0 {
-		return Rung{Name: "rawcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
-			return rawcc.Schedule(g, m)
-		}}
+		return schedulerRung("rawcc", m, rawcc.Schedule)
 	}
-	return Rung{Name: "uas", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
-		return uas.Schedule(g, m)
+	return schedulerRung("uas", m, uas.Schedule)
+}
+
+// schedulerRung wraps a context-free scheduler as a rung.
+func schedulerRung(name string, m *machine.Model, sched func(*ir.Graph, *machine.Model) (*schedule.Schedule, error)) Rung {
+	return Rung{Name: name, Run: func(_ context.Context, g *ir.Graph) (*schedule.Schedule, error) {
+		return sched(g, m)
 	}}
 }
 
@@ -78,13 +81,7 @@ func ListRung(m *machine.Model) Rung {
 // of the combinatorial-scheduling literature: always have a cheaper legal
 // answer to fall back to.
 func DefaultLadder(m *machine.Model, seed int64) []Rung {
-	seq := passes.ForMachine(m.Name)
-	return []Rung{
-		ConvergentRung("convergent", m, seq, seed),
-		ConvergentRung("convergent-truncated", m, TruncatedSequence(seq), seed+1),
-		BaselineRung(m),
-		ListRung(m),
-	}
+	return convergentLadder(m, "convergent", passes.ForMachine(m.Name), seed)
 }
 
 // DefaultLadderID returns a stable textual identity of the ladder that
@@ -95,77 +92,91 @@ func DefaultLadder(m *machine.Model, seed int64) []Rung {
 // schedulers — a new pass in the sequence, a different truncation, or a
 // different baseline all change the ID.
 func DefaultLadderID(m *machine.Model, seed int64) string {
-	seq := passes.ForMachine(m.Name)
-	return fmt.Sprintf("convergent[%s|seed=%d]>convergent-truncated[%s|seed=%d]>%s>list",
-		core.SequenceID(seq), seed,
-		core.SequenceID(TruncatedSequence(seq)), seed+1,
-		BaselineRung(m).Name)
+	return convergentLadderID(m, "convergent", passes.ForMachine(m.Name), seed)
 }
 
-// TunedLadder is DefaultLadder with the oracle-tuned pass sequence
-// (passes.TunedForMachine) in both convergent rungs. The fallback rungs are
-// unchanged: tuning moves cycles on the healthy path, not the degradation
-// story.
-func TunedLadder(m *machine.Model, seed int64) []Rung {
-	seq := passes.TunedForMachine(m.Name)
+// convergentLadder builds the four-rung degradation ladder around the pass
+// sequence seq, its convergent rungs named name and name-truncated. The
+// default and tuned ladders are both built here.
+func convergentLadder(m *machine.Model, name string, seq []core.Pass, seed int64) []Rung {
 	return []Rung{
-		ConvergentRung("convergent-tuned", m, seq, seed),
-		ConvergentRung("convergent-tuned-truncated", m, TruncatedSequence(seq), seed+1),
+		ConvergentRung(name, m, seq, seed),
+		ConvergentRung(name+"-truncated", m, TruncatedSequence(seq), seed+1),
 		BaselineRung(m),
 		ListRung(m),
 	}
 }
 
-// TunedLadderID is the cache identity of TunedLadder(m, seed), mirroring
-// DefaultLadderID: it embeds the tuned sequence's identity, so retuning the
-// shipped sequence changes the ID and can never serve stale cached
-// schedules.
-func TunedLadderID(m *machine.Model, seed int64) string {
-	seq := passes.TunedForMachine(m.Name)
-	return fmt.Sprintf("convergent-tuned[%s|seed=%d]>convergent-tuned-truncated[%s|seed=%d]>%s>list",
-		core.SequenceID(seq), seed,
-		core.SequenceID(TruncatedSequence(seq)), seed+1,
+// convergentLadderID is the cache identity of convergentLadder(m, name, seq,
+// seed). It is kept apart from the builder because the driver builds the
+// default ladder on every request while the engine derives its ID, and
+// rendering the sequence identities costs far more than the rungs.
+func convergentLadderID(m *machine.Model, name string, seq []core.Pass, seed int64) string {
+	return fmt.Sprintf("%s[%s|seed=%d]>%s-truncated[%s|seed=%d]>%s>list",
+		name, core.SequenceID(seq), seed,
+		name, core.SequenceID(TruncatedSequence(seq)), seed+1,
 		BaselineRung(m).Name)
 }
 
-// RungFor returns the single rung for a scheduler name as accepted by
-// cmd/convsched: convergent, rawcc, uas, pcc or list.
-func RungFor(m *machine.Model, scheduler string, seed int64) (Rung, error) {
+// LadderFor resolves a scheduling request to the ladder the driver walks and
+// the ladder's cache identity. scheduler names the primary rung (convergent,
+// rawcc, uas, pcc or list); tuned swaps the convergent scheduler's published
+// pass sequence for the oracle-tuned one (passes.TunedForMachine); fallback
+// adds the degradation rungs behind the primary. Every front end (convsched,
+// schedd, regionc) selects through this function.
+//
+// The convergent fallback ladder is returned nil with an empty ID: the
+// driver then walks DefaultLadder(m, Options.Seed) and internal/engine
+// derives its identity (DefaultLadderID), so the caller must set
+// Options.Seed. A tuned fallback ladder is the default ladder's shape around
+// the tuned sequence. Any other primary degrades straight to the list rung
+// (falling back from one baseline to another would silently re-label the
+// experiment being run), and list has nothing below it.
+//
+// Ladder IDs are a persisted format — engine cache keys, and with them the
+// keys of every persistent store, derive from them — so they must stay
+// byte-identical; testdata/ladder_select.json and default_ladder.json
+// freeze every one. The tuned error names convsched's flags because
+// convsched is the only front end that offers tuned.
+func LadderFor(m *machine.Model, scheduler string, tuned, fallback bool, seed int64) ([]Rung, string, error) {
+	if tuned {
+		if scheduler != "convergent" {
+			return nil, "", fmt.Errorf("-tuned selects a convergent pass sequence; use -scheduler convergent, not %q", scheduler)
+		}
+		seq := passes.TunedForMachine(m.Name)
+		if fallback {
+			return convergentLadder(m, "convergent-tuned", seq, seed),
+				convergentLadderID(m, "convergent-tuned", seq, seed), nil
+		}
+		return []Rung{ConvergentRung("convergent-tuned", m, seq, seed)},
+			fmt.Sprintf("rung:convergent-tuned[%s]:seed=%d", core.SequenceID(seq), seed), nil
+	}
+	var primary Rung
 	switch scheduler {
 	case "convergent":
-		return ConvergentRung("convergent", m, passes.ForMachine(m.Name), seed), nil
+		if fallback {
+			return nil, "", nil
+		}
+		primary = ConvergentRung("convergent", m, passes.ForMachine(m.Name), seed)
 	case "rawcc":
-		return Rung{Name: "rawcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
-			return rawcc.Schedule(g, m)
-		}}, nil
+		primary = schedulerRung("rawcc", m, rawcc.Schedule)
 	case "uas":
-		return Rung{Name: "uas", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
-			return uas.Schedule(g, m)
-		}}, nil
+		primary = schedulerRung("uas", m, uas.Schedule)
 	case "pcc":
-		return Rung{Name: "pcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
+		primary = schedulerRung("pcc", m, func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
 			return pcc.Schedule(g, m, pcc.Options{})
-		}}, nil
+		})
 	case "list":
-		return ListRung(m), nil
+		primary = ListRung(m)
+	default:
+		return nil, "", fmt.Errorf("robust: unknown scheduler %q", scheduler)
 	}
-	return Rung{}, fmt.Errorf("robust: unknown scheduler %q", scheduler)
-}
-
-// LadderFor builds the ladder whose primary rung is the named scheduler.
-// The convergent primary gets the full default ladder; any other primary
-// degrades straight to the list baseline (falling back from one baseline to
-// another would silently re-label the experiment being run).
-func LadderFor(m *machine.Model, scheduler string, seed int64) ([]Rung, error) {
-	if scheduler == "convergent" {
-		return DefaultLadder(m, seed), nil
+	ladder, kind := []Rung{primary}, "rung"
+	if fallback {
+		kind = "fallback"
+		if scheduler != "list" {
+			ladder = append(ladder, ListRung(m))
+		}
 	}
-	primary, err := RungFor(m, scheduler, seed)
-	if err != nil {
-		return nil, err
-	}
-	if scheduler == "list" {
-		return []Rung{primary}, nil
-	}
-	return []Rung{primary, ListRung(m)}, nil
+	return ladder, fmt.Sprintf("%s:%s:seed=%d", kind, scheduler, seed), nil
 }

@@ -353,8 +353,9 @@ func TestGuard(t *testing.T) {
 
 func TestLadderFor(t *testing.T) {
 	m := machine.Chorus(4)
-	for name, wantLen := range map[string]int{"convergent": 4, "uas": 2, "pcc": 2, "list": 1} {
-		ladder, err := robust.LadderFor(m, name, 1)
+	// The convergent fallback ladder is nil: the driver walks DefaultLadder.
+	for name, wantLen := range map[string]int{"convergent": 0, "uas": 2, "pcc": 2, "list": 1} {
+		ladder, _, err := robust.LadderFor(m, name, false, true, 1)
 		if err != nil {
 			t.Errorf("LadderFor(%s): %v", name, err)
 			continue
@@ -363,7 +364,7 @@ func TestLadderFor(t *testing.T) {
 			t.Errorf("LadderFor(%s) has %d rungs, want %d", name, len(ladder), wantLen)
 		}
 	}
-	if _, err := robust.LadderFor(m, "quantum", 1); err == nil {
+	if _, _, err := robust.LadderFor(m, "quantum", false, true, 1); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
 }

@@ -112,7 +112,7 @@ func Cost(m *machine.Model, kernels []bench.Kernel, labels []string, seed int64)
 	total := 0
 	for _, k := range kernels {
 		g := k.Build(m.NumClusters)
-		s, _, err := core.Schedule(g, m, seq, seed)
+		s, _, err := core.ScheduleCtx(context.TODO(), g, m, seq, seed)
 		if err != nil {
 			return 0, fmt.Errorf("tune: %s: %w", k.Name, err)
 		}

@@ -62,7 +62,11 @@ func listschedCells() []listschedCell {
 			return robust.ConvergentRung("convergent", m, passes.ForMachine(m.Name), exp.Seed).Run(ctx, g)
 		}},
 		{"tuned", func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
-			return robust.TunedLadder(m, exp.Seed)[0].Run(ctx, g)
+			ladder, _, err := robust.LadderFor(m, "convergent", true, false, exp.Seed)
+			if err != nil {
+				return nil, err
+			}
+			return ladder[0].Run(ctx, g)
 		}},
 		{"rawcc", func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) { return rawcc.Schedule(g, m) }},
 		{"uas", func(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) { return uas.Schedule(g, m) }},
