@@ -83,46 +83,17 @@ type options struct {
 	storeQueue         int
 	storeNoSync        bool
 
-	tenantClasses multiFlag // -tenant-class, repeatable
-	tenantAssign  multiFlag // -tenant, repeatable
-	tenantConfig  string    // -tenant-config JSON file
-	defaultClass  string    // -default-class
+	tenantClasses server.MultiFlag // -tenant-class, repeatable
+	tenantAssign  server.MultiFlag // -tenant, repeatable
+	tenantConfig  string           // -tenant-config JSON file
+	defaultClass  string           // -default-class
 
-	shardID    string    // -shard-id
-	tenantKeys multiFlag // -tenant-key, repeatable
-	keyFile    string    // -tenant-keys JSON file
+	shardID    string           // -shard-id
+	tenantKeys server.MultiFlag // -tenant-key, repeatable
+	keyFile    string           // -tenant-keys JSON file
 
 	peerKey     string        // -peer-key
 	peerTimeout time.Duration // -peer-timeout
-}
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-// keysFor merges the API-key flags into one KeySet: the -tenant-keys file
-// first, then repeatable -tenant-key specs layered on top.
-func keysFor(o options) (server.KeySet, error) {
-	var ks server.KeySet
-	if o.keyFile != "" {
-		var err error
-		if ks, err = server.LoadKeyFile(o.keyFile); err != nil {
-			return nil, err
-		}
-	}
-	for _, spec := range o.tenantKeys {
-		t, k, err := server.ParseKeySpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		if ks == nil {
-			ks = make(server.KeySet)
-		}
-		ks[t] = k
-	}
-	return ks, nil
 }
 
 // tenancyFor merges the tenant-QoS flags into one validated config: the
@@ -276,7 +247,7 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 	if err != nil {
 		return err
 	}
-	keys, err := keysFor(o)
+	keys, err := server.LoadKeys(o.keyFile, o.tenantKeys)
 	if err != nil {
 		return err
 	}

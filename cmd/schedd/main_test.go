@@ -274,8 +274,8 @@ func TestTenancyFor(t *testing.T) {
 
 	o := options{
 		tenantConfig:  cfgPath,
-		tenantClasses: multiFlag{"gold:weight=8,queue=32,inflight=2"}, // overrides file
-		tenantAssign:  multiFlag{"batch=bronze"},
+		tenantClasses: server.MultiFlag{"gold:weight=8,queue=32,inflight=2"}, // overrides file
+		tenantAssign:  server.MultiFlag{"batch=bronze"},
 	}
 	tc, err := tenancyFor(o)
 	if err != nil {
@@ -298,11 +298,11 @@ func TestTenancyFor(t *testing.T) {
 	}
 
 	bad := []options{
-		{tenantClasses: multiFlag{"gold:weight=x"}},                // malformed spec
-		{tenantAssign: multiFlag{"vip=nosuch"}},                    // unknown class
-		{tenantAssign: multiFlag{"not-an-assignment"}},             // missing =
-		{tenantClasses: multiFlag{"gold"}, defaultClass: "nosuch"}, // undefined default
-		{tenantConfig: filepath.Join(t.TempDir(), "absent.json")},  // unreadable file
+		{tenantClasses: server.MultiFlag{"gold:weight=x"}},                // malformed spec
+		{tenantAssign: server.MultiFlag{"vip=nosuch"}},                    // unknown class
+		{tenantAssign: server.MultiFlag{"not-an-assignment"}},             // missing =
+		{tenantClasses: server.MultiFlag{"gold"}, defaultClass: "nosuch"}, // undefined default
+		{tenantConfig: filepath.Join(t.TempDir(), "absent.json")},         // unreadable file
 	}
 	for i, o := range bad {
 		if _, err := tenancyFor(o); err == nil {
@@ -320,8 +320,8 @@ func TestServeWithTenancy(t *testing.T) {
 		timeout:       2 * time.Second,
 		drain:         5 * time.Second,
 		seed:          2002,
-		tenantClasses: multiFlag{"gold:weight=8,queue=16"},
-		tenantAssign:  multiFlag{"vip=gold"},
+		tenantClasses: server.MultiFlag{"gold:weight=8,queue=16"},
+		tenantAssign:  server.MultiFlag{"vip=gold"},
 	}
 	base, stop, done, _ := bootServe(t, o)
 	defer func() {

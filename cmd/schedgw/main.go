@@ -46,7 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -58,7 +57,7 @@ import (
 // options collects the daemon's flags.
 type options struct {
 	addr         string
-	shards       multiFlag
+	shards       server.MultiFlag
 	replicas     int
 	quorum       int
 	hedgeAfter   time.Duration
@@ -73,19 +72,13 @@ type options struct {
 	breakerFailures int
 	breakerCooldown time.Duration
 
-	tenantKeys multiFlag
+	tenantKeys server.MultiFlag
 	keyFile    string
 
 	adminKey   string
 	peerKey    string
 	rebalanceK int
 }
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	var o options
@@ -116,28 +109,6 @@ func main() {
 	}
 }
 
-// keysFor merges the API-key flags, file first then repeatable specs on top.
-func keysFor(o options) (server.KeySet, error) {
-	var ks server.KeySet
-	if o.keyFile != "" {
-		var err error
-		if ks, err = server.LoadKeyFile(o.keyFile); err != nil {
-			return nil, err
-		}
-	}
-	for _, spec := range o.tenantKeys {
-		t, k, err := server.ParseKeySpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		if ks == nil {
-			ks = make(server.KeySet)
-		}
-		ks[t] = k
-	}
-	return ks, nil
-}
-
 // run builds the gateway, serves until a termination signal, then drains.
 func run(o options) error {
 	ln, err := net.Listen("tcp", o.addr)
@@ -152,7 +123,7 @@ func run(o options) error {
 // serve runs the gateway on ln until stop delivers, then drains. Split from
 // run so tests can drive it with their own listener and stop channel.
 func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger) error {
-	keys, err := keysFor(o)
+	keys, err := server.LoadKeys(o.keyFile, o.tenantKeys)
 	if err != nil {
 		return err
 	}

@@ -20,13 +20,13 @@ import (
 )
 
 // TestKeysForMergesFileAndFlags: repeatable -tenant-key specs override the
-// -tenant-keys file, and bad specs fail loudly.
+// -tenant-keys file (server.LoadKeys), and bad specs fail loudly.
 func TestKeysForMergesFileAndFlags(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keys.json")
 	if err := os.WriteFile(path, []byte(`{"acme": "from-file", "beta": "b2"}`), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	ks, err := keysFor(options{keyFile: path, tenantKeys: multiFlag{"acme=from-flag", "gamma=g3"}})
+	ks, err := server.LoadKeys(path, []string{"acme=from-flag", "gamma=g3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +39,10 @@ func TestKeysForMergesFileAndFlags(t *testing.T) {
 			t.Errorf("keys[%q] = %q, want %q", tenant, ks[tenant], key)
 		}
 	}
-	if _, err := keysFor(options{tenantKeys: multiFlag{"no-equals-sign"}}); err == nil {
+	if _, err := server.LoadKeys("", []string{"no-equals-sign"}); err == nil {
 		t.Error("malformed key spec accepted")
 	}
-	if ks, err := keysFor(options{}); err != nil || len(ks) != 0 {
+	if ks, err := server.LoadKeys("", nil); err != nil || len(ks) != 0 {
 		t.Errorf("empty options: keys=%v err=%v", ks, err)
 	}
 }
@@ -58,7 +58,7 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := options{
-		shards:     multiFlag{strings.TrimPrefix(shard.URL, "http://")},
+		shards:     server.MultiFlag{strings.TrimPrefix(shard.URL, "http://")},
 		probeEvery: 20 * time.Millisecond,
 		drain:      5 * time.Second,
 	}

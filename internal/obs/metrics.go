@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,7 +32,7 @@ var DefBuckets = []float64{
 // atomicFloat is a float64 with atomic add/set/load via bit casting.
 type atomicFloat struct{ bits atomic.Uint64 }
 
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
+func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
 func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) add(d float64) {
 	for {
@@ -361,6 +362,20 @@ func (r *Registry) Samples() []Sample {
 		out = append(out, f.samples()...)
 	}
 	return out
+}
+
+// ServeHTTP answers a GET /metrics scrape with WriteTo's text; HEAD gets the
+// headers only and any other method 405.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	if req.Method != http.MethodGet && req.Method != http.MethodHead {
+		http.Error(w, "GET /metrics", http.StatusMethodNotAllowed)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if req.Method == http.MethodHead {
+		return
+	}
+	r.WriteTo(w)
 }
 
 // WriteTo renders the registry in the Prometheus text exposition format:

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -178,6 +180,36 @@ func TestConcurrentUpdatesDuringScrape(t *testing.T) {
 	}
 	if total != 8*500 {
 		t.Fatalf("lost counter increments: %v", total)
+	}
+}
+
+// TestRegistryServeHTTP: GET renders the text format, HEAD sends only the
+// headers, and any other method is refused.
+func TestRegistryServeHTTP(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("requests_total", "Requests.").Inc()
+	for _, tc := range []struct {
+		method   string
+		code     int
+		wantBody bool
+	}{
+		{http.MethodGet, http.StatusOK, true},
+		{http.MethodHead, http.StatusOK, false},
+		{http.MethodPost, http.StatusMethodNotAllowed, false},
+	} {
+		w := httptest.NewRecorder()
+		r.ServeHTTP(w, httptest.NewRequest(tc.method, "/metrics", nil))
+		if w.Code != tc.code {
+			t.Errorf("%s /metrics = %d, want %d", tc.method, w.Code, tc.code)
+		}
+		if tc.code == http.StatusOK {
+			if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+				t.Errorf("%s /metrics Content-Type = %q", tc.method, ct)
+			}
+		}
+		if got := strings.Contains(w.Body.String(), "requests_total 1"); got != tc.wantBody {
+			t.Errorf("%s /metrics body has the sample = %v, want %v:\n%s", tc.method, got, tc.wantBody, w.Body)
+		}
 	}
 }
 

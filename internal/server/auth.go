@@ -57,6 +57,37 @@ func LoadKeyFile(path string) (KeySet, error) {
 	return ks, nil
 }
 
+// LoadKeys merges the daemons' API-key flags into one KeySet: the
+// -tenant-keys JSON file first, when given, then every -tenant-key
+// "tenant=secret" spec layered on top. Neither gives a nil KeySet, which
+// leaves authentication off.
+func LoadKeys(file string, specs []string) (KeySet, error) {
+	var ks KeySet
+	if file != "" {
+		var err error
+		if ks, err = LoadKeyFile(file); err != nil {
+			return nil, err
+		}
+	}
+	for _, spec := range specs {
+		t, k, err := ParseKeySpec(spec)
+		if err != nil {
+			return nil, err
+		}
+		if ks == nil {
+			ks = make(KeySet)
+		}
+		ks[t] = k
+	}
+	return ks, nil
+}
+
+// MultiFlag collects a repeatable string flag, such as -tenant-key.
+type MultiFlag []string
+
+func (m *MultiFlag) String() string     { return strings.Join(*m, ",") }
+func (m *MultiFlag) Set(v string) error { *m = append(*m, v); return nil }
+
 // Verify checks a tenant identity claim against the key set. It returns nil
 // when the claim is acceptable: auth disabled (empty set), no identity
 // claimed, or the presented key matches the tenant's secret in constant

@@ -16,7 +16,6 @@ package server
 // testdata/metrics_families.golden — add new series there deliberately.
 
 import (
-	"net/http"
 	"sync"
 
 	"repro/internal/obs"
@@ -239,7 +238,7 @@ func newMetrics(s *Server) *metrics {
 		} else {
 			draining.Set(0)
 		}
-		inflight.Set(float64(s.inflight.current()))
+		inflight.Set(float64(s.inflight.Current()))
 		panics.Set(float64(s.panics.Load()))
 		open := 0
 		for _, b := range s.breakers.Snapshot() {
@@ -288,19 +287,4 @@ func (m *metrics) observeReport(rep *robust.Report) {
 	for _, a := range rep.Attempts {
 		m.rungSeconds.With(a.Rung).Observe(a.Duration.Seconds())
 	}
-}
-
-// handleMetrics serves GET /metrics in the Prometheus text format. It stays
-// servable during drain: scraping a draining server is how an operator
-// watches drain progress (schedd_draining=1, schedd_inflight falling).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		http.Error(w, "GET /metrics", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if r.Method == http.MethodHead {
-		return
-	}
-	s.metrics.reg.WriteTo(w)
 }
