@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -104,6 +105,39 @@ func newTestGateway(t *testing.T, cfg Config) *Gateway {
 	g.Start()
 	t.Cleanup(g.Close)
 	return g
+}
+
+// TestNewGatewayRejectsOverflowingBackoff: the largest retry backoff,
+// RetryBase<<MaxRetries, must be a positive Duration, or the jittered wait
+// of the last retry pass would panic mid-request.
+func TestNewGatewayRejectsOverflowingBackoff(t *testing.T) {
+	for _, tc := range []struct {
+		maxRetries int
+		retryBase  time.Duration
+		ok         bool
+	}{
+		{0, 0, true},                      // defaults: 2 retries, 25ms
+		{-1, time.Hour, true},             // retries disabled: no shift
+		{38, 25 * time.Millisecond, true}, // 25ms<<38 ≈ 6.9e18ns still fits
+		{39, 25 * time.Millisecond, false},
+		{39, 0, false}, // the default base overflows too
+		{62, 1, true},
+		{63, 1, false},
+		{64, 1, false},
+		{1000, time.Nanosecond, false},
+		{1, math.MaxInt64 / 2, true},
+		{1, math.MaxInt64/2 + 1, false},
+	} {
+		_, err := NewGateway(Config{
+			Shards:     []string{"a:1"},
+			MaxRetries: tc.maxRetries,
+			RetryBase:  tc.retryBase,
+			Transport:  errRT{},
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("MaxRetries=%d RetryBase=%v: err=%v, want ok=%v", tc.maxRetries, tc.retryBase, err, tc.ok)
+		}
+	}
 }
 
 // TestHedgeLossFree is the loss-free hedging proof: the primary shard is
