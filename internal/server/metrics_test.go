@@ -9,6 +9,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -116,11 +117,11 @@ func TestMetricsConformance(t *testing.T) {
 
 	first := scrapeMetrics(t, ts)
 	for _, want := range []string{
-		"schedd_requests_accepted_total",
-		"schedd_requests_completed_total",
+		`schedd_tenant_accepted_total{tenant="anonymous"}`,
+		`schedd_tenant_requests_total{tenant="anonymous",outcome="ok"}`,
 		`schedd_cache_events_total{kind="miss"}`,
 		"schedd_traced_requests_total",
-		`schedd_request_seconds_count{outcome="ok"}`,
+		`schedd_request_seconds_count{outcome="ok",class="default",tenant="~overflow"}`,
 		"schedd_ready",
 		"schedd_inflight",
 	} {
@@ -131,8 +132,8 @@ func TestMetricsConformance(t *testing.T) {
 	if got := first["schedd_traced_requests_total"]; got != 1 {
 		t.Errorf("schedd_traced_requests_total = %g, want 1", got)
 	}
-	if got := first["schedd_requests_accepted_total"]; got != 3 {
-		t.Errorf("schedd_requests_accepted_total = %g, want 3", got)
+	if got := first[`schedd_tenant_accepted_total{tenant="anonymous"}`]; got != 3 {
+		t.Errorf(`schedd_tenant_accepted_total{tenant="anonymous"} = %g, want 3`, got)
 	}
 
 	// More traffic, then the monotonicity check: no counter goes backwards.
@@ -257,5 +258,50 @@ func TestMetricsServableDuringDrain(t *testing.T) {
 	}
 	if got["schedd_ready"] != 0 {
 		t.Errorf("schedd_ready = %g while draining, want 0", got["schedd_ready"])
+	}
+}
+
+// TestTenantShedSeriesBoundedByAdmission is the cardinality regression test
+// for schedd_tenant_shed_total: a flood of distinct tenant names may mint no
+// more shed series than admission tracks tenants, so the family inherits
+// admission's tenant cap instead of growing with every header value.
+func TestTenantShedSeriesBoundedByAdmission(t *testing.T) {
+	s := New(Config{RatePerSec: 1e-9, Burst: 1, Logf: func(string, ...any) {}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const names = 3000
+	shed := 0
+	for i := 0; i < names; i++ {
+		code, _, _, err := tenantPost(ts, fmt.Sprintf("t-%04d", i), "machine=raw4", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code == http.StatusTooManyRequests {
+			shed++
+		}
+	}
+	if shed < names-1 {
+		t.Fatalf("%d of %d requests shed, want all but the first", shed, names)
+	}
+
+	series := make(map[string]bool)
+	for name := range scrapeMetrics(t, ts) {
+		if rest, ok := strings.CutPrefix(name, `schedd_tenant_shed_total{tenant="`); ok {
+			series[rest[:strings.IndexByte(rest, '"')]] = true
+		}
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(series) == 0 || len(series) > len(st.Admission.Tenants) {
+		t.Errorf("schedd_tenant_shed_total has %d tenant label values, /stats tracks %d tenants",
+			len(series), len(st.Admission.Tenants))
 	}
 }
