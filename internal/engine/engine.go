@@ -22,6 +22,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -380,17 +381,8 @@ func rehydrate(ent entry, job Job, canon ir.Canonical) (*schedule.Schedule, erro
 		}
 	}
 	shell := &schedule.Schedule{Graph: job.Graph, Machine: job.Machine, Placements: pl, Comms: comms}
-	if err := shell.Validate(); err != nil {
+	if err := cmp.Or(sim.Gate(shell, job.Opts.Verify, job.Opts.InitMemory)); err != nil {
 		return nil, err
-	}
-	if job.Opts.Verify {
-		mem := job.Opts.InitMemory
-		if mem == nil {
-			mem = sim.NewMemory()
-		}
-		if _, err := sim.Verify(shell, mem); err != nil {
-			return nil, err
-		}
 	}
 	return shell, nil
 }

@@ -15,6 +15,7 @@
 package oracle
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -240,29 +241,17 @@ func realize(p *problem, sol []place) (*schedule.Schedule, error) {
 }
 
 // gate re-attaches a candidate schedule to the pristine graph and machine
-// and checks its complete legality there, mirroring the robust-tier gate;
-// the oracle never emits an unchecked schedule.
+// and passes it through sim.Gate there; the oracle never emits an unchecked
+// schedule.
 func gate(g *ir.Graph, m *machine.Model, cand *schedule.Schedule, opt Options) (*schedule.Schedule, error) {
-	if len(cand.Placements) != g.Len() {
-		return nil, fmt.Errorf("schedule places %d of %d instructions", len(cand.Placements), g.Len())
-	}
 	shell := &schedule.Schedule{
 		Graph:      g,
 		Machine:    m,
 		Placements: append([]schedule.Placement(nil), cand.Placements...),
 		Comms:      append([]schedule.Comm(nil), cand.Comms...),
 	}
-	if err := shell.Validate(); err != nil {
+	if err := cmp.Or(sim.Gate(shell, opt.Verify, opt.InitMemory)); err != nil {
 		return nil, err
-	}
-	if opt.Verify {
-		mem := opt.InitMemory
-		if mem == nil {
-			mem = sim.NewMemory()
-		}
-		if _, err := sim.Verify(shell, mem); err != nil {
-			return nil, err
-		}
 	}
 	return shell, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/listsched"
 	"repro/internal/machine"
+	"repro/internal/schedule"
 )
 
 func TestEvalIntegerOps(t *testing.T) {
@@ -253,6 +254,49 @@ func TestVerifyDetectsWrongOrder(t *testing.T) {
 	s.Placements[ld.ID].Start = 0
 	if _, err := Run(s, NewMemory()); err == nil {
 		t.Error("Run accepted a schedule violating a memory edge")
+	}
+}
+
+// TestGateSplitsInvalidFromDiverged pins which check refuses a schedule:
+// Validate's refusal comes back as invalid, the simulation's as diverged,
+// and without verify a legal schedule is never simulated.
+func TestGateSplitsInvalidFromDiverged(t *testing.T) {
+	// A store and then a load of one cell. Without the memory edge the
+	// load may legally issue first, which diverges from reference
+	// execution; with it, the schedule must keep the store first.
+	m := machine.Raw(1)
+	schedOf := func(memEdge bool) *schedule.Schedule {
+		g := ir.New("race")
+		addr := g.AddConst(4)
+		v := g.AddConst(11)
+		st := g.AddStore(0, addr.ID, v.ID)
+		ld := g.AddLoad(0, addr.ID)
+		if memEdge {
+			g.AddMemEdge(st.ID, ld.ID)
+		}
+		prio := make([]float64, g.Len())
+		prio[ld.ID] = -10 // issue the load as early as it is allowed
+		s, err := listsched.Run(g, m, listsched.Options{Assignment: make([]int, g.Len()), Priority: prio})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	if invalid, diverged := Gate(schedOf(true), true, nil); invalid != nil || diverged != nil {
+		t.Fatalf("ordered schedule refused: invalid=%v diverged=%v", invalid, diverged)
+	}
+	racy := schedOf(false)
+	if invalid, diverged := Gate(racy, true, nil); invalid != nil || diverged == nil {
+		t.Errorf("load-first schedule: invalid=%v diverged=%v, want only diverged", invalid, diverged)
+	}
+	if invalid, diverged := Gate(racy, false, nil); invalid != nil || diverged != nil {
+		t.Errorf("unverified legal schedule refused: invalid=%v diverged=%v", invalid, diverged)
+	}
+	broken := schedOf(true)
+	broken.Placements[0].Cluster = 7
+	if invalid, diverged := Gate(broken, true, nil); invalid == nil || diverged != nil {
+		t.Errorf("off-machine schedule: invalid=%v diverged=%v, want only invalid", invalid, diverged)
 	}
 }
 
