@@ -22,6 +22,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/robust"
 )
 
 // remoteSchedule mirrors the fields of the server's 200 body that the batch
@@ -50,6 +52,11 @@ type remoteError struct {
 func runRemote(o options, paths []string) error {
 	if o.chaos != "" {
 		return fmt.Errorf("-chaos is server-side in remote mode; start schedd -chaos instead")
+	}
+	if o.tuned {
+		// schedd has no tuned parameter; sending the run anyway would
+		// silently serve the published sequence.
+		return fmt.Errorf("-tuned is a local feature; schedd serves the published pass sequence")
 	}
 	if o.show != "stats" {
 		return fmt.Errorf("-show %s is a local feature; remote mode prints stats", o.show)
@@ -227,7 +234,6 @@ func jitteredRetry(header string, attempt int, rng *rand.Rand) time.Duration {
 			base = 2 * time.Second
 		}
 	}
-	// Full-jitter over the upper half: wait = base/2 + uniform(0, base/2].
-	half := base / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
+	// Full jitter over the upper half of the base.
+	return robust.Jitter(rng, base/2, base)
 }

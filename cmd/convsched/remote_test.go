@@ -91,6 +91,12 @@ func TestRunRemoteErrors(t *testing.T) {
 	}
 
 	o = remoteOpts(ts)
+	o.tuned = true
+	if out, err := capture(t, func() error { return run(o, []string{a}) }); err == nil {
+		t.Errorf("-tuned with -serve-addr should be rejected, got:\n%s", out)
+	}
+
+	o = remoteOpts(ts)
 	o.show = "schedule"
 	if _, err := capture(t, func() error { return run(o, []string{a}) }); err == nil {
 		t.Error("-show schedule with -serve-addr should be rejected")
