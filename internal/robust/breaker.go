@@ -130,13 +130,21 @@ func (s *BreakerSet) get(key string) *breaker {
 	return b
 }
 
+// Jitter draws a wait uniformly from [lo, hi] (lo when hi < lo). It is the
+// one jitter helper for breaker cooldowns, gateway re-dials and client
+// retries, which all spread waits so callers that failed together do not
+// retry in lockstep. rng is not locked: callers serialize their use of it.
+func Jitter(rng *rand.Rand, lo, hi time.Duration) time.Duration {
+	if hi < lo {
+		return lo
+	}
+	return lo + time.Duration(rng.Int63n(int64(hi-lo)+1))
+}
+
 // jittered returns d spread over ±JitterFrac. Callers hold s.mu.
 func (s *BreakerSet) jittered(d time.Duration) time.Duration {
-	if s.policy.JitterFrac == 0 {
-		return d
-	}
-	f := 1 + s.policy.JitterFrac*(2*s.rng.Float64()-1)
-	return time.Duration(float64(d) * f)
+	spread := time.Duration(float64(d) * s.policy.JitterFrac)
+	return Jitter(s.rng, d-spread, d+spread)
 }
 
 // Allow reports whether an attempt for key may run now. An open breaker

@@ -146,3 +146,38 @@ func TestBreakerScopesAreIndependent(t *testing.T) {
 		t.Fatal("failure on raw16 tripped the vliw4 breaker")
 	}
 }
+
+// TestJitterDraws pins the one jitter helper: every draw lies in [lo, hi],
+// both ends are reachable, a one-point range returns it, and the gateway's
+// re-dial and the client's retry draw exactly what their earlier private
+// formulas drew from the same source.
+func TestJitterDraws(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	seen := map[time.Duration]bool{}
+	for i := 0; i < 2000; i++ {
+		d := Jitter(rng, 5, 9)
+		if d < 5 || d > 9 {
+			t.Fatalf("Jitter(5, 9) = %v", d)
+		}
+		seen[d] = true
+	}
+	if len(seen) != 5 {
+		t.Errorf("Jitter(5, 9) drew %d distinct values, want all 5", len(seen))
+	}
+	if d := Jitter(rng, 7, 7); d != 7 {
+		t.Errorf("Jitter(7, 7) = %v", d)
+	}
+
+	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for _, d := range []time.Duration{1, 2, 10 * time.Millisecond, 3 * time.Second} {
+		if got, want := Jitter(a, 1, d), time.Duration(b.Int63n(int64(d)))+1; got != want {
+			t.Errorf("full jitter over %v: %v, earlier formula %v", d, got, want)
+		}
+	}
+	for _, base := range []time.Duration{50 * time.Millisecond, 150 * time.Millisecond, 2 * time.Second} {
+		half := base / 2
+		if got, want := Jitter(a, half, base), half+time.Duration(b.Int63n(int64(half)+1)); got != want {
+			t.Errorf("upper-half jitter over %v: %v, earlier formula %v", base, got, want)
+		}
+	}
+}
